@@ -1,18 +1,18 @@
-//! Criterion micro-benchmarks of the framework's hot paths: the proportional
+//! Micro-benchmarks of the framework's hot paths: the proportional
 //! filter, trace (de)serialisation, RAID-5 planning, the DES engine (request
 //! store and elevator dispatch), the closed-loop generator, the end-to-end
 //! load sweep (serial vs pooled), blkparse ingest (serial vs chunked
 //! parallel), and replay planning (materializing pipeline vs zero-copy plan).
 //!
-//! Each DES-engine benchmark also emits a machine-readable `RESULT` line
-//! (events/sec, sweep seconds) so EXPERIMENTS.md can track the hot-path
-//! numbers across commits. Set `TRACER_BENCH_SAMPLES` to shrink the sample
-//! count (CI smoke runs use `TRACER_BENCH_SAMPLES=2`).
+//! Each benchmark prints its mean time per iteration; the DES-engine ones
+//! also emit a machine-readable `RESULT` line (events/sec, sweep seconds) so
+//! EXPERIMENTS.md can track the hot-path numbers across commits. Set
+//! `TRACER_BENCH_SAMPLES` to shrink the sample count (CI smoke runs use
+//! `TRACER_BENCH_SAMPLES=2`).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Instant;
-use tracer_bench::json_result;
+use tracer_bench::{banner, json_result};
 use tracer_core::{EvaluationHost, SweepBuilder, SweepExecutor};
 use tracer_replay::{
     replay, replay_prepared, AddressPolicy, LoadControl, ProportionalFilter, ReplayConfig,
@@ -31,6 +31,33 @@ fn samples_from_env() -> usize {
     std::env::var("TRACER_BENCH_SAMPLES").ok().and_then(|v| v.parse().ok()).unwrap_or(20).max(1)
 }
 
+/// Time `routine` on a fresh `setup()` input per sample (setup untimed,
+/// one untimed warm-up first) and print the mean time per iteration plus
+/// the rate of `units` `unit`s per iteration.
+fn bench<I, O>(
+    name: &str,
+    units: u64,
+    unit: &str,
+    mut setup: impl FnMut() -> I,
+    mut routine: impl FnMut(I) -> O,
+) {
+    let samples = samples_from_env();
+    black_box(routine(setup()));
+    let mut secs = 0.0;
+    for _ in 0..samples {
+        let input = setup();
+        let t0 = Instant::now();
+        black_box(routine(input));
+        secs += t0.elapsed().as_secs_f64();
+    }
+    let per_iter = secs / samples as f64;
+    let rate = units as f64 / per_iter.max(1e-12);
+    println!(
+        "bench {name}: {:.3} µs / iter ({samples} samples), {rate:.0} {unit}/s",
+        per_iter * 1e6
+    );
+}
+
 fn big_trace(bunches: usize) -> Trace {
     Trace::from_bunches(
         "bench",
@@ -45,75 +72,90 @@ fn big_trace(bunches: usize) -> Trace {
     )
 }
 
-fn bench_filter(c: &mut Criterion) {
+fn bench_filter() {
     let trace = big_trace(100_000);
     let filter = ProportionalFilter::default();
-    let mut g = c.benchmark_group("filter");
-    g.throughput(Throughput::Elements(trace.bunch_count() as u64));
-    g.bench_function("proportional_30pct_100k_bunches", |b| {
-        b.iter(|| black_box(filter.filter(black_box(&trace), 30)))
-    });
-    g.finish();
+    bench(
+        "filter/proportional_30pct_100k_bunches",
+        trace.bunch_count() as u64,
+        "elem",
+        || (),
+        |()| filter.filter(black_box(&trace), 30),
+    );
 }
 
-fn bench_serialization(c: &mut Criterion) {
+fn bench_serialization() {
     let trace = big_trace(50_000);
-    let bytes = replay_format::to_bytes(&trace);
-    let mut g = c.benchmark_group("replay_format");
-    g.throughput(Throughput::Bytes(bytes.len() as u64));
-    g.bench_function("encode_v1_50k_bunches", |b| {
-        b.iter(|| black_box(replay_format::to_bytes(black_box(&trace))))
-    });
-    g.bench_function("decode_v1_50k_bunches", |b| {
-        b.iter(|| black_box(replay_format::from_bytes(black_box(&bytes)).unwrap()))
-    });
-    g.finish();
+    let v1 = replay_format::to_bytes(&trace);
+    let len = v1.len() as u64;
+    bench(
+        "replay_format/encode_v1_50k_bunches",
+        len,
+        "B",
+        || (),
+        |()| replay_format::to_bytes(black_box(&trace)),
+    );
+    bench(
+        "replay_format/decode_v1_50k_bunches",
+        len,
+        "B",
+        || (),
+        |()| replay_format::from_bytes(black_box(&v1)).unwrap(),
+    );
 
     let v2 = tracer_trace::compact::to_bytes(&trace);
-    let mut g = c.benchmark_group("compact_v2");
-    g.throughput(Throughput::Bytes(v2.len() as u64));
-    g.bench_function("encode_v2_50k_bunches", |b| {
-        b.iter(|| black_box(tracer_trace::compact::to_bytes(black_box(&trace))))
-    });
-    g.bench_function("decode_v2_50k_bunches", |b| {
-        b.iter(|| black_box(replay_format::from_bytes(black_box(&v2)).unwrap()))
-    });
-    g.finish();
+    let len = v2.len() as u64;
+    bench(
+        "compact_v2/encode_v2_50k_bunches",
+        len,
+        "B",
+        || (),
+        |()| tracer_trace::compact::to_bytes(black_box(&trace)),
+    );
+    bench(
+        "compact_v2/decode_v2_50k_bunches",
+        len,
+        "B",
+        || (),
+        |()| replay_format::from_bytes(black_box(&v2)).unwrap(),
+    );
 }
 
-fn bench_raid_planning(c: &mut Criterion) {
+fn bench_raid_planning() {
     let geom = Geometry::raid5(6);
-    let mut g = c.benchmark_group("raid5");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("plan_small_write", |b| {
-        let mut sector = 0u64;
-        b.iter(|| {
+    let mut sector = 0u64;
+    bench(
+        "raid5/plan_small_write",
+        1,
+        "elem",
+        || {
             sector = (sector + 8_191) % 10_000_000;
-            black_box(geom.plan(black_box(sector), 8, OpKind::Write))
-        })
-    });
-    g.bench_function("plan_large_read", |b| {
-        let mut sector = 0u64;
-        b.iter(|| {
+            sector
+        },
+        |sector| geom.plan(black_box(sector), 8, OpKind::Write),
+    );
+    let mut sector = 0u64;
+    bench(
+        "raid5/plan_large_read",
+        1,
+        "elem",
+        || {
             sector = (sector + 131_071) % 10_000_000;
-            black_box(geom.plan(black_box(sector), 4096, OpKind::Read))
-        })
-    });
-    g.finish();
+            sector
+        },
+        |sector| geom.plan(black_box(sector), 4096, OpKind::Read),
+    );
 }
 
-fn bench_engine(c: &mut Criterion) {
+fn bench_engine() {
     let trace = big_trace(2_000);
-    let mut g = c.benchmark_group("engine");
-    g.throughput(Throughput::Elements(trace.io_count() as u64));
-    g.bench_function("replay_8k_ios_raid5_hdd6", |b| {
-        b.iter_batched(
-            || ArraySpec::hdd_raid5(6).build(),
-            |mut sim| black_box(replay_prepared(&mut sim, &trace, AddressPolicy::Wrap)),
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
+    bench(
+        "engine/replay_8k_ios_raid5_hdd6",
+        trace.io_count() as u64,
+        "elem",
+        || ArraySpec::hdd_raid5(6).build(),
+        |mut sim| replay_prepared(&mut sim, &trace, AddressPolicy::Wrap),
+    );
 }
 
 /// A simulator whose queues stay deep: requests arrive far faster than the
@@ -128,20 +170,17 @@ fn deep_queue_sim(total: u64) -> ArraySim {
     sim
 }
 
-fn bench_request_store(c: &mut Criterion) {
-    let mut g = c.benchmark_group("request_store");
-    g.throughput(Throughput::Elements(5_000));
-    g.bench_function("deep_queue_5k_requests", |b| {
-        b.iter_batched(
-            || deep_queue_sim(5_000),
-            |mut sim| {
-                sim.run_to_idle();
-                black_box(sim.events_processed())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
+fn bench_request_store() {
+    bench(
+        "request_store/deep_queue_5k_requests",
+        5_000,
+        "elem",
+        || deep_queue_sim(5_000),
+        |mut sim| {
+            sim.run_to_idle();
+            sim.events_processed()
+        },
+    );
 
     // One deterministic run for the RESULT line: raw DES event throughput.
     let mut sim = deep_queue_sim(20_000);
@@ -173,22 +212,19 @@ fn elevator_backlog(depth: u64) -> ArraySim {
     sim
 }
 
-fn bench_elevator_dispatch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("elevator");
-    for &depth in &[1u64, 8, 64, 512] {
-        g.throughput(Throughput::Elements(depth));
-        g.bench_function(&format!("dispatch_depth_{depth}"), |b| {
-            b.iter_batched(
-                || elevator_backlog(depth),
-                |mut sim| {
-                    sim.run_to_idle();
-                    black_box(sim.events_processed())
-                },
-                BatchSize::SmallInput,
-            )
-        });
+fn bench_elevator_dispatch() {
+    for depth in [1u64, 8, 64, 512] {
+        bench(
+            &format!("elevator/dispatch_depth_{depth}"),
+            depth,
+            "elem",
+            || elevator_backlog(depth),
+            |mut sim| {
+                sim.run_to_idle();
+                sim.events_processed()
+            },
+        );
     }
-    g.finish();
 
     let mut sim = elevator_backlog(512);
     let t0 = Instant::now();
@@ -209,8 +245,7 @@ fn bench_elevator_dispatch(c: &mut Criterion) {
 /// End-to-end load sweep, serial versus a four-worker pool. On a single-core
 /// host the two are expected to tie; the RESULT line records both so scaling
 /// can be compared across runners.
-fn bench_load_sweep(c: &mut Criterion) {
-    let _ = c;
+fn bench_load_sweep() {
     let trace = big_trace(20_000);
     let mode = WorkloadMode::peak(8192, 50, 100);
     let loads = [20, 40, 60, 80, 100];
@@ -244,8 +279,7 @@ fn bench_load_sweep(c: &mut Criterion) {
 /// load sweep, timed with `tracer-obs` off and on, interleaved min-of-N so
 /// scheduler noise hits both sides equally. The RESULT line carries the
 /// on/off ratios; `check_regression` holds `max_ratio` under 1.03.
-fn bench_obs_overhead(c: &mut Criterion) {
-    let _ = c;
+fn bench_obs_overhead() {
     // Many short rounds with the off/on order alternating each round: a load
     // spike or thermal ramp then lands on both sides equally, and min-of-N
     // keeps one clean measurement per side on a noisy runner.
@@ -361,24 +395,29 @@ fn synthetic_dump(events: usize) -> String {
 
 /// Serial versus chunked-parallel blkparse ingest (parse + bunching) over an
 /// in-memory dump. The RESULT line records events/sec for both paths.
-fn bench_trace_ingest(c: &mut Criterion) {
+fn bench_trace_ingest() {
     let dump = synthetic_dump(50_000);
     let opts = BlkparseOptions::default();
-    let mut g = c.benchmark_group("trace_ingest");
-    g.throughput(Throughput::Elements(50_000));
-    g.bench_function("serial_parse_convert_50k", |b| {
-        b.iter(|| {
+    bench(
+        "trace_ingest/serial_parse_convert_50k",
+        50_000,
+        "elem",
+        || (),
+        |()| {
             let events = parse_str(black_box(&dump), &opts).unwrap();
-            black_box(convert(&events, "bench", &opts))
-        })
-    });
-    g.bench_function("parallel4_parse_convert_50k", |b| {
-        b.iter(|| {
+            convert(&events, "bench", &opts)
+        },
+    );
+    bench(
+        "trace_ingest/parallel4_parse_convert_50k",
+        50_000,
+        "elem",
+        || (),
+        |()| {
             let events = parse_str_parallel(black_box(&dump), &opts, 4).unwrap();
-            black_box(convert_parallel(&events, "bench", &opts, 4))
-        })
-    });
-    g.finish();
+            convert_parallel(&events, "bench", &opts, 4)
+        },
+    );
 
     // One deterministic pass per path for the RESULT line, on a bigger dump
     // so thread spawn costs amortize the way real ingests see them.
@@ -409,30 +448,28 @@ fn bench_trace_ingest(c: &mut Criterion) {
 /// the zero-copy `ReplayPlan` path. The RESULT line records ns/bunch for both
 /// plus the process peak RSS, measured zero-copy-first so the materialized
 /// path owns any high-water-mark growth.
-fn bench_replay_plan(c: &mut Criterion) {
+fn bench_replay_plan() {
     let trace = big_trace(20_000);
     let load = LoadControl { proportion_pct: 40, intensity_pct: 200 };
     let cfg = ReplayConfig { load, ..Default::default() };
-    let mut g = c.benchmark_group("replay_plan");
-    g.throughput(Throughput::Elements(trace.bunch_count() as u64));
-    g.bench_function("materialized_40pct_20k_bunches", |b| {
-        b.iter_batched(
-            || ArraySpec::hdd_raid5(6).build(),
-            |mut sim| {
-                let prepared = load.apply(&trace);
-                black_box(replay_prepared(&mut sim, &prepared, AddressPolicy::Wrap))
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("zero_copy_40pct_20k_bunches", |b| {
-        b.iter_batched(
-            || ArraySpec::hdd_raid5(6).build(),
-            |mut sim| black_box(replay(&mut sim, &trace, &cfg)),
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
+    let bunch_count = trace.bunch_count() as u64;
+    bench(
+        "replay_plan/materialized_40pct_20k_bunches",
+        bunch_count,
+        "elem",
+        || ArraySpec::hdd_raid5(6).build(),
+        |mut sim| {
+            let prepared = load.apply(&trace);
+            replay_prepared(&mut sim, &prepared, AddressPolicy::Wrap)
+        },
+    );
+    bench(
+        "replay_plan/zero_copy_40pct_20k_bunches",
+        bunch_count,
+        "elem",
+        || ArraySpec::hdd_raid5(6).build(),
+        |mut sim| replay(&mut sim, &trace, &cfg),
+    );
 
     let bunches = trace.bunch_count() as f64;
     let mut sim = ArraySpec::hdd_raid5(6).build();
@@ -460,29 +497,31 @@ fn bench_replay_plan(c: &mut Criterion) {
     );
 }
 
-fn bench_generator(c: &mut Criterion) {
-    let mut g = c.benchmark_group("generator");
-    g.bench_function("closed_loop_1s_peak_4k_random", |b| {
-        b.iter_batched(
-            || ArraySpec::hdd_raid5(4).build(),
-            |mut sim| {
-                let cfg = IometerConfig {
-                    duration: SimDuration::from_secs(1),
-                    ..IometerConfig::two_minutes(WorkloadMode::peak(4096, 100, 100), 3)
-                };
-                black_box(run_peak_workload(&mut sim, &cfg))
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
+fn bench_generator() {
+    let cfg = IometerConfig {
+        duration: SimDuration::from_secs(1),
+        ..IometerConfig::two_minutes(WorkloadMode::peak(4096, 100, 100), 3)
+    };
+    bench(
+        "generator/closed_loop_1s_peak_4k_random",
+        1,
+        "run",
+        || ArraySpec::hdd_raid5(4).build(),
+        |mut sim| run_peak_workload(&mut sim, &cfg),
+    );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(samples_from_env());
-    targets = bench_filter, bench_serialization, bench_raid_planning, bench_engine,
-        bench_request_store, bench_elevator_dispatch, bench_generator, bench_load_sweep,
-        bench_obs_overhead, bench_trace_ingest, bench_replay_plan
+fn main() {
+    banner("perf_micro", "hot-path micro-benchmarks");
+    bench_filter();
+    bench_serialization();
+    bench_raid_planning();
+    bench_engine();
+    bench_request_store();
+    bench_elevator_dispatch();
+    bench_generator();
+    bench_load_sweep();
+    bench_obs_overhead();
+    bench_trace_ingest();
+    bench_replay_plan();
 }
-criterion_main!(benches);

@@ -1,17 +1,12 @@
-//! `perf_parallel_des` — conservative per-disk parallel simulation versus the
-//! serial engine on a wave-dense workload.
+//! `perf_parallel_des` — serial DES throughput on a wave-dense workload.
 //!
-//! The workload is the densest wave-former the engine sees in practice: wide
-//! full-stripe reads on an 8-member array, so every phase fans out to every
-//! disk and the resulting same-time `DiskFree` events commute. The RESULT
-//! line records serial DES throughput (gated in CI — this is the absolute
-//! hot-path number the calendar queue and SoA store bought) and the parallel
-//! speedup (informational only: CI runners have wildly varying core counts,
-//! and a 1-core container measures a slowdown from thread overhead).
-//!
-//! Identity of serial and parallel results is asserted here too — a perf
-//! harness that quietly benchmarks a *wrong* fast path would be worse than no
-//! harness.
+//! The workload is wide full-stripe reads on an 8-member array: every phase
+//! fans out to every disk, so the engine sees bursts of same-time
+//! `DiskFree` events on distinct members. The RESULT line records the
+//! full-engine serial throughput, which CI gates — it is the absolute
+//! hot-path number the calendar queue and SoA store bought. (The name
+//! predates the removal of the intra-array parallel engine; cell-level
+//! parallelism lives in the sweep executor.)
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -20,10 +15,6 @@ use tracer_sim::device::OpKind;
 use tracer_sim::{ArrayRequest, ArraySim, ArraySpec, SimDuration, SimTime};
 
 const REQUESTS: u64 = 4_000;
-
-fn build() -> ArraySim {
-    ArraySpec::hdd_raid5(8).build()
-}
 
 /// Submit wide stripe reads on a tight cadence, keeping every member busy.
 fn submit_all(sim: &mut ArraySim) {
@@ -35,49 +26,33 @@ fn submit_all(sim: &mut ArraySim) {
     }
 }
 
-/// Run one configuration to idle; returns (events, seconds, completions).
-fn run(parallelism: usize) -> (u64, f64, Vec<tracer_sim::Completion>) {
-    let mut sim = build().with_parallelism(parallelism);
+/// Run the workload to idle; returns (events, seconds, completions).
+fn run() -> (u64, f64, usize) {
+    let mut sim = ArraySpec::hdd_raid5(8).build();
     sim.reserve_events(REQUESTS as usize);
     submit_all(&mut sim);
     let t0 = Instant::now();
     sim.run_to_idle();
     let secs = t0.elapsed().as_secs_f64();
     black_box(sim.power_log().devices.len());
-    (sim.events_processed(), secs, sim.drain_completions())
+    (sim.events_processed(), secs, sim.drain_completions().len())
 }
 
 fn main() {
-    banner("perf_parallel_des", "conservative parallel DES vs serial (wave-dense stripe reads)");
+    banner("perf_parallel_des", "serial DES throughput (wave-dense stripe reads)");
 
-    // Best-of-three per configuration, interleaved.
+    // Best of three.
     let mut serial_secs = f64::MAX;
-    let mut par_secs = f64::MAX;
     let mut serial_events = 0u64;
-    let mut serial_done = Vec::new();
-    let workers = 4usize;
-    for round in 0..3 {
-        let (events, secs, done) = run(1);
+    for _ in 0..3 {
+        let (events, secs, completions) = run();
+        assert_eq!(completions as u64, REQUESTS, "every submitted read must complete");
         serial_secs = serial_secs.min(secs);
         serial_events = events;
-        let (p_events, p_secs, p_done) = run(workers);
-        par_secs = par_secs.min(p_secs);
-        assert_eq!(events, p_events, "parallel engine processed a different event count");
-        assert_eq!(done, p_done, "parallel engine produced different completions");
-        if round == 0 {
-            serial_done = done;
-        }
     }
 
     let serial_eps = serial_events as f64 / serial_secs.max(1e-9);
-    let par_eps = serial_events as f64 / par_secs.max(1e-9);
-    println!(
-        "{} requests, {} events: serial {serial_eps:>12.0} ev/s  parallel({workers}) {par_eps:>12.0} ev/s  ({:.2}x)",
-        REQUESTS,
-        serial_events,
-        par_eps / serial_eps,
-    );
-    black_box(serial_done.len());
+    println!("{REQUESTS} requests, {serial_events} events: serial {serial_eps:>12.0} ev/s");
 
     json_result(
         "perf_parallel_des",
@@ -86,10 +61,6 @@ fn main() {
             "events": serial_events,
             "serial_seconds": serial_secs,
             "serial_events_per_sec": serial_eps,
-            "workers": workers,
-            "parallel_seconds": par_secs,
-            "parallel_events_per_sec": par_eps,
-            "speedup": par_eps / serial_eps,
         }),
     );
 }

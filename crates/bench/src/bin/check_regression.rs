@@ -19,8 +19,9 @@
 //! ```
 //!
 //! Entries may also carry informational fields (ignored here) such as the
-//! measured value the baseline was derived from. Missing RESULT ids warn but
-//! do not fail, so partial bench runs stay usable; malformed input fails.
+//! measured value the baseline was derived from. A gated id with no RESULT
+//! line carrying its metric fails, so a bench that stops reporting cannot
+//! pass silently; a malformed baseline file fails too.
 //!
 //! Usage: `cargo bench ... | cargo run -p tracer-bench --bin check_regression -- BENCH.json`
 
@@ -91,6 +92,47 @@ fn results_from(input: &str) -> HashMap<String, serde_json::Value> {
     results
 }
 
+/// Judge every gated id against `results`, in id order: one report line per
+/// id, plus whether any failed.
+fn evaluate(
+    checks: &HashMap<String, Check>,
+    results: &HashMap<String, serde_json::Value>,
+) -> (Vec<String>, bool) {
+    let mut lines = Vec::new();
+    let mut failed = false;
+    let mut ids: Vec<&String> = checks.keys().collect();
+    ids.sort();
+    for id in ids {
+        let check = &checks[id];
+        let Some(value) =
+            results.get(id).and_then(|r| r.get(&check.metric)).and_then(serde_json::Value::as_f64)
+        else {
+            lines.push(format!("FAIL  {id}: no RESULT line carrying {:?}", check.metric));
+            failed = true;
+            continue;
+        };
+        let (ok, bound) = match check.direction {
+            Direction::Higher => {
+                (value >= check.baseline / check.factor, check.baseline / check.factor)
+            }
+            Direction::Lower => {
+                (value <= check.baseline * check.factor, check.baseline * check.factor)
+            }
+        };
+        if ok {
+            lines.push(format!("OK    {id}: {} = {value:.3} (bound {bound:.3})", check.metric));
+        } else {
+            lines.push(format!(
+                "FAIL  {id}: {} = {value:.3} regressed past {bound:.3} \
+                 (baseline {:.3}, factor {})",
+                check.metric, check.baseline, check.factor
+            ));
+            failed = true;
+        }
+    }
+    (lines, failed)
+}
+
 fn main() -> ExitCode {
     let Some(baseline_path) = std::env::args().nth(1) else {
         eprintln!("usage: check_regression <baseline.json>  (bench output on stdin)");
@@ -115,41 +157,86 @@ fn main() -> ExitCode {
         eprintln!("check_regression: failed to read stdin");
         return ExitCode::FAILURE;
     }
-    let results = results_from(&input);
-
-    let mut failed = false;
-    let mut ids: Vec<&String> = checks.keys().collect();
-    ids.sort();
-    for id in ids {
-        let check = &checks[id];
-        let Some(value) =
-            results.get(id).and_then(|r| r.get(&check.metric)).and_then(serde_json::Value::as_f64)
-        else {
-            println!("WARN  {id}: no RESULT line carrying {:?}; skipped", check.metric);
-            continue;
-        };
-        let (ok, bound) = match check.direction {
-            Direction::Higher => {
-                (value >= check.baseline / check.factor, check.baseline / check.factor)
-            }
-            Direction::Lower => {
-                (value <= check.baseline * check.factor, check.baseline * check.factor)
-            }
-        };
-        if ok {
-            println!("OK    {id}: {} = {value:.3} (bound {bound:.3})", check.metric);
-        } else {
-            println!(
-                "FAIL  {id}: {} = {value:.3} regressed past {bound:.3} \
-                 (baseline {:.3}, factor {})",
-                check.metric, check.baseline, check.factor
-            );
-            failed = true;
-        }
+    let (lines, failed) = evaluate(&checks, &results_from(&input));
+    for line in lines {
+        println!("{line}");
     }
     if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINES: &str = r#"{
+        "fast": {"metric": "events_per_sec", "direction": "higher", "baseline": 100.0},
+        "slow": {"metric": "seconds", "direction": "lower", "baseline": 1.0, "factor": 1.5}
+    }"#;
+
+    fn judge(bench_output: &str) -> (Vec<String>, bool) {
+        let checks = parse_baselines(BASELINES).unwrap();
+        evaluate(&checks, &results_from(bench_output))
+    }
+
+    #[test]
+    fn missing_id_fails() {
+        let (lines, failed) = judge("RESULT fast {\"events_per_sec\": 100.0}\n");
+        assert!(failed);
+        assert!(lines.iter().any(|l| l.starts_with("FAIL  slow: no RESULT line")), "{lines:?}");
+        // A line for the id without the gated metric is as good as missing.
+        let (_, failed) =
+            judge("RESULT fast {\"events_per_sec\": 100.0}\nRESULT slow {\"x\": 1}\n");
+        assert!(failed);
+    }
+
+    #[test]
+    fn higher_is_better_bound_is_baseline_over_factor() {
+        let pass = "RESULT fast {\"events_per_sec\": 50.0}\nRESULT slow {\"seconds\": 1.0}\n";
+        assert!(!judge(pass).1);
+        let fail = "RESULT fast {\"events_per_sec\": 49.9}\nRESULT slow {\"seconds\": 1.0}\n";
+        let (lines, failed) = judge(fail);
+        assert!(failed);
+        assert!(lines.iter().any(|l| l.starts_with("FAIL  fast: events_per_sec")), "{lines:?}");
+    }
+
+    #[test]
+    fn lower_is_better_bound_is_baseline_times_factor() {
+        let pass = "RESULT fast {\"events_per_sec\": 100.0}\nRESULT slow {\"seconds\": 1.5}\n";
+        assert!(!judge(pass).1);
+        let fail = "RESULT fast {\"events_per_sec\": 100.0}\nRESULT slow {\"seconds\": 1.51}\n";
+        let (lines, failed) = judge(fail);
+        assert!(failed);
+        assert!(lines.iter().any(|l| l.starts_with("FAIL  slow: seconds")), "{lines:?}");
+    }
+
+    #[test]
+    fn later_result_line_wins() {
+        let rerun = "RESULT fast {\"events_per_sec\": 1.0}\n\
+                     RESULT slow {\"seconds\": 1.0}\n\
+                     RESULT fast {\"events_per_sec\": 100.0}\n";
+        assert!(!judge(rerun).1);
+        let regressed = "RESULT fast {\"events_per_sec\": 100.0}\n\
+                         RESULT slow {\"seconds\": 1.0}\n\
+                         RESULT fast {\"events_per_sec\": 1.0}\n";
+        assert!(judge(regressed).1);
+    }
+
+    #[test]
+    fn malformed_baselines_are_rejected() {
+        for bad in [
+            "not json",
+            "[1, 2]",
+            r#"{"a": {"direction": "higher", "baseline": 1.0}}"#,
+            r#"{"a": {"metric": "m", "direction": "sideways", "baseline": 1.0}}"#,
+            r#"{"a": {"metric": "m", "direction": "higher"}}"#,
+            r#"{"a": {"metric": "m", "direction": "higher", "baseline": 0.0}}"#,
+            r#"{"a": {"metric": "m", "direction": "lower", "baseline": 1.0, "factor": 0.5}}"#,
+        ] {
+            assert!(parse_baselines(bad).is_err(), "accepted {bad}");
+        }
     }
 }

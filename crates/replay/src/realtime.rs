@@ -11,9 +11,8 @@
 //! A `speedup` factor rescales trace time at dispatch, so tests replay
 //! minutes-long traces in milliseconds through exactly the same code.
 
-use crossbeam::channel;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tracer_trace::{IoPackage, Trace};
 
@@ -74,7 +73,10 @@ impl RealTimeReplayer {
     pub fn replay<T: StorageTarget>(&self, target: &T, trace: &Trace) -> RealTimeReport {
         assert!(self.speedup > 0.0, "speedup must be positive");
         let workers = self.workers.max(1);
-        let (tx, rx) = channel::unbounded::<IoPackage>();
+        // One channel fans out to every worker: the receiver sits behind a
+        // mutex that each worker holds only while taking the next request.
+        let (tx, rx) = mpsc::channel::<IoPackage>();
+        let rx = Mutex::new(rx);
         let failed = AtomicU64::new(0);
         let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(trace.io_count()));
         let start = Instant::now();
@@ -82,17 +84,20 @@ impl RealTimeReplayer {
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let rx = rx.clone();
+                let rx = &rx;
                 let failed = &failed;
                 let latencies = &latencies;
-                scope.spawn(move || {
-                    while let Ok(io) = rx.recv() {
-                        let t0 = Instant::now();
-                        if target.execute(&io).is_err() {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        latencies.lock().push(t0.elapsed().as_secs_f64() * 1e3);
+                scope.spawn(move || loop {
+                    // Its own statement, so the receiver guard drops before
+                    // `execute` and the workers run concurrently.
+                    let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    let Ok(io) = next else { break };
+                    let t0 = Instant::now();
+                    if target.execute(&io).is_err() {
+                        failed.fetch_add(1, Ordering::Relaxed);
                     }
+                    let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
+                    latencies.lock().unwrap_or_else(PoisonError::into_inner).push(latency_ms);
                 });
             }
 
@@ -113,7 +118,7 @@ impl RealTimeReplayer {
         });
 
         let elapsed = start.elapsed();
-        let latencies_ms = latencies.into_inner();
+        let latencies_ms = latencies.into_inner().unwrap_or_else(PoisonError::into_inner);
         RealTimeReport {
             issued,
             failed: failed.load(Ordering::Relaxed),
@@ -199,13 +204,13 @@ impl SimTarget {
 
     /// Recover the simulator (for power-log inspection) after the replay.
     pub fn into_inner(self) -> tracer_sim::ArraySim {
-        self.sim.into_inner()
+        self.sim.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl StorageTarget for SimTarget {
     fn execute(&self, io: &IoPackage) -> Result<(), String> {
-        let mut sim = self.sim.lock();
+        let mut sim = self.sim.lock().unwrap_or_else(PoisonError::into_inner);
         let capacity = sim.data_capacity_sectors();
         let sectors = io.sectors().max(1);
         if sectors > capacity {
@@ -349,8 +354,9 @@ mod tests {
         assert!(target.execute(&IoPackage::read(u64::MAX / 2, 4096)).is_ok());
         // A request bigger than the whole array fails cleanly.
         let huge = IoPackage::read(0, u32::MAX);
-        let sim_capacity_bytes =
-            target.sim.lock().data_capacity_sectors() * tracer_trace::SECTOR_BYTES;
+        let capacity =
+            target.sim.lock().unwrap_or_else(PoisonError::into_inner).data_capacity_sectors();
+        let sim_capacity_bytes = capacity * tracer_trace::SECTOR_BYTES;
         if u64::from(u32::MAX) > sim_capacity_bytes {
             assert!(target.execute(&huge).is_err());
         }

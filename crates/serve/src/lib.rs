@@ -36,14 +36,13 @@
 
 pub mod server;
 
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tracer_core::db::Database;
@@ -291,10 +290,9 @@ struct QueueState {
     closed: bool,
 }
 
-/// The pending queue: a std `Mutex` + `Condvar` pair (the vendored
-/// `parking_lot` has no condvar) guarding a priority heap.
+/// The pending queue: a `Mutex` + `Condvar` pair guarding a priority heap.
 struct Queue {
-    state: StdMutex<QueueState>,
+    state: Mutex<QueueState>,
     cv: Condvar,
 }
 
@@ -355,8 +353,8 @@ impl EvalService {
         let mut report = RecoveryReport { torn_frames: recovery.torn_frames, ..Default::default() };
         service.shared.next_id.store(recovery.next_id.max(1), Ordering::SeqCst);
         {
-            let mut jobs = service.shared.jobs.lock();
-            let mut db = service.shared.db.lock();
+            let mut jobs = service.shared.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut db = service.shared.db.lock().unwrap_or_else(PoisonError::into_inner);
             for rj in &recovery.jobs {
                 let mut entry = JobEntry::new(rj.spec.name.clone(), true);
                 match &rj.state {
@@ -394,7 +392,12 @@ impl EvalService {
                     let mut entry = JobEntry::new(rj.spec.name.clone(), true);
                     entry.state = JobState::Failed;
                     entry.error = Some("spec no longer resolves after restart".into());
-                    service.shared.jobs.lock().insert(rj.id, entry);
+                    service
+                        .shared
+                        .jobs
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .insert(rj.id, entry);
                     service.shared.journal(
                         true,
                         &LogRecord::Failed {
@@ -419,7 +422,7 @@ impl EvalService {
             jobs: Mutex::new(BTreeMap::new()),
             db: Mutex::new(Database::new()),
             queue: Queue {
-                state: StdMutex::new(QueueState { heap: BinaryHeap::new(), seq: 0, closed: false }),
+                state: Mutex::new(QueueState { heap: BinaryHeap::new(), seq: 0, closed: false }),
                 cv: Condvar::new(),
             },
             journal,
@@ -433,7 +436,7 @@ impl EvalService {
     }
 
     fn spawn_workers(&self) {
-        let mut workers = self.workers.lock();
+        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
         for _ in 0..self.worker_count {
             let shared = Arc::clone(&self.shared);
             workers.push(std::thread::spawn(move || worker_loop(&shared)));
@@ -457,7 +460,7 @@ impl EvalService {
             cancelled: 0,
             expired: 0,
         };
-        for entry in self.shared.jobs.lock().values() {
+        for entry in self.shared.jobs.lock().unwrap_or_else(PoisonError::into_inner).values() {
             match entry.state {
                 JobState::Queued => stats.queued += 1,
                 JobState::Running => stats.running += 1,
@@ -500,8 +503,7 @@ impl EvalService {
         }
         // Admission happens under the queue lock so the capacity check and
         // the push are one atomic step. Lock order: queue → jobs.
-        let mut q =
-            self.shared.queue.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut q = self.shared.queue.state.lock().unwrap_or_else(PoisonError::into_inner);
         if q.closed {
             return Err(SubmitError::ShuttingDown);
         }
@@ -518,7 +520,11 @@ impl EvalService {
         let journaled = opts.spec.is_some() && self.shared.journal.is_some();
         // Register before enqueueing so a worker can never pop an id that is
         // not yet in the registry.
-        self.shared.jobs.lock().insert(id, JobEntry::new(job.name.clone(), journaled));
+        self.shared
+            .jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, JobEntry::new(job.name.clone(), journaled));
         if let Some(mut spec) = opts.spec {
             spec.name = job.name.clone();
             self.shared.journal(journaled, &LogRecord::Submitted { id, spec });
@@ -542,9 +548,12 @@ impl EvalService {
     /// the original submission clock did not survive the crash, and
     /// expiring recovered work unseen would contradict "no lost jobs".
     fn enqueue_recovered(&self, id: u64, spec: &JobSpec, job: EvaluationJob) {
-        let mut q =
-            self.shared.queue.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.shared.jobs.lock().insert(id, JobEntry::new(spec.name.clone(), true));
+        let mut q = self.shared.queue.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.shared
+            .jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, JobEntry::new(spec.name.clone(), true));
         q.seq += 1;
         let seq = q.seq;
         q.heap.push(Pending {
@@ -560,15 +569,17 @@ impl EvalService {
 
     /// Look up a job.
     pub fn status(&self, id: u64) -> Option<JobSnapshot> {
-        self.shared.jobs.lock().get(&id).map(|e| JobSnapshot {
-            id,
-            name: e.name.clone(),
-            state: e.state,
-            record_id: e.record_id,
-            metrics: e.metrics,
-            error: e.error.clone(),
-            queue_ms: e.queue_ms,
-            run_ms: e.run_ms,
+        self.shared.jobs.lock().unwrap_or_else(PoisonError::into_inner).get(&id).map(|e| {
+            JobSnapshot {
+                id,
+                name: e.name.clone(),
+                state: e.state,
+                record_id: e.record_id,
+                metrics: e.metrics,
+                error: e.error.clone(),
+                queue_ms: e.queue_ms,
+                run_ms: e.run_ms,
+            }
         })
     }
 
@@ -577,7 +588,7 @@ impl EvalService {
     /// finishes (the replay is never interrupted mid-flight, preserving
     /// worker determinism). Terminal jobs refuse.
     pub fn cancel(&self, id: u64) -> Result<CancelOutcome, CancelError> {
-        let mut jobs = self.shared.jobs.lock();
+        let mut jobs = self.shared.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         match jobs.get_mut(&id) {
             None => Err(CancelError::Unknown),
             Some(entry) if entry.state == JobState::Queued => {
@@ -600,6 +611,7 @@ impl EvalService {
         self.shared
             .jobs
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .values()
             .filter(|e| matches!(e.state, JobState::Queued | JobState::Running))
             .count()
@@ -610,6 +622,7 @@ impl EvalService {
         self.shared
             .jobs
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(&id, e)| JobSnapshot {
                 id,
@@ -626,15 +639,14 @@ impl EvalService {
 
     /// Run a closure against the shared results database.
     pub fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.shared.db.lock())
+        f(&self.shared.db.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Stop admitting jobs and close the queue; workers keep draining what is
     /// already queued.
     pub fn begin_shutdown(&self) {
         self.shared.accepting.store(false, Ordering::SeqCst);
-        let mut q =
-            self.shared.queue.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut q = self.shared.queue.state.lock().unwrap_or_else(PoisonError::into_inner);
         q.closed = true;
         drop(q);
         self.shared.queue.cv.notify_all();
@@ -642,7 +654,8 @@ impl EvalService {
 
     /// Wait for the workers to finish every remaining job and exit.
     pub fn await_drain(&self) {
-        let handles: Vec<_> = self.workers.lock().drain(..).collect();
+        let handles: Vec<_> =
+            self.workers.lock().unwrap_or_else(PoisonError::into_inner).drain(..).collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -673,8 +686,7 @@ fn worker_loop(shared: &Shared) {
             // Queue state stays consistent across a panicking holder (every
             // mutation is a single push/pop), so poison recovery is sound —
             // one crashed evaluation must not wedge the whole pool.
-            let mut q =
-                shared.queue.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut q = shared.queue.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(p) = q.heap.pop() {
                     break Some(p);
@@ -688,13 +700,13 @@ fn worker_loop(shared: &Shared) {
                     .queue
                     .cv
                     .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .unwrap_or_else(PoisonError::into_inner)
                     .0;
             }
         };
         let Some(Pending { id, deadline, job, .. }) = pending else { return };
         {
-            let mut jobs = shared.jobs.lock();
+            let mut jobs = shared.jobs.lock().unwrap_or_else(PoisonError::into_inner);
             // Submission registers before enqueueing, so the entry exists; a
             // missing one means the registry was externally mutated — skip
             // the orphan rather than killing the worker.
@@ -737,7 +749,7 @@ fn worker_loop(shared: &Shared) {
         if tracer_obs::enabled() {
             tracer_obs::histogram("serve.run_ns").record(elapsed.as_nanos() as u64);
         }
-        let mut jobs = shared.jobs.lock();
+        let mut jobs = shared.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(entry) = jobs.get_mut(&id) else { continue };
         entry.run_ms = Some(elapsed.as_millis() as u64);
         let journaled = entry.journaled;
@@ -765,13 +777,19 @@ fn worker_loop(shared: &Shared) {
                     continue;
                 };
                 // Lock order: jobs → db (never the reverse).
-                let shared_record = shared.db.lock().insert(record);
+                let shared_record =
+                    shared.db.lock().unwrap_or_else(PoisonError::into_inner).insert(record);
                 entry.state = JobState::Done;
                 entry.record_id = Some(shared_record);
                 entry.metrics = Some(out.metrics);
                 let queue_ms = entry.queue_ms.unwrap_or(0);
                 let run_ms = entry.run_ms.unwrap_or(0);
-                let journal_record = shared.db.lock().get(shared_record).cloned();
+                let journal_record = shared
+                    .db
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get(shared_record)
+                    .cloned();
                 drop(jobs);
                 if let Some(record) = journal_record {
                     shared.journal(journaled, &LogRecord::Done { id, record, queue_ms, run_ms });

@@ -1,15 +1,9 @@
-//! PR-5 API-redesign contract: `SweepBuilder` is the single sweep entry
-//! point, and every legacy `*_with` function is a thin shim over it. Each
-//! shim must stay byte-identical to the builder at 1 and 4 workers — same
-//! results, same database records, same ids — and turning the `tracer-obs`
-//! instrumentation on must not perturb any report bit.
-
-// The legacy shims are deliberately exercised: this file is their
-// bit-compatibility guarantee.
-#![allow(deprecated)]
+//! `SweepBuilder` is the single sweep entry point. Every sweep shape must
+//! be byte-identical at 1 and 4 workers — same results, same database
+//! records, same ids — and turning the `tracer-obs` instrumentation on must
+//! not perturb any report bit.
 
 use tracer_core::prelude::*;
-use tracer_core::{repeated_trials_with, run_parallel_with};
 
 fn trace(n: u64) -> Trace {
     Trace::from_bunches(
@@ -21,89 +15,69 @@ fn trace(n: u64) -> Trace {
 }
 
 #[test]
-fn builder_load_sweep_matches_legacy_shim_bit_for_bit() {
+fn builder_load_sweep_is_bit_identical_at_1_and_4_workers() {
     let mode = WorkloadMode::peak(8192, 50, 100);
     let loads = [20, 40, 60, 80];
-    for workers in [1usize, 4] {
-        let mut legacy_host = EvaluationHost::new();
-        let legacy = load_sweep_with(
-            &mut legacy_host,
-            &SweepExecutor::new(workers),
-            || ArraySpec::hdd_raid5(4).build(),
-            &trace(60),
-            mode,
-            &loads,
-            "sb",
-        );
+    let run = |workers: usize| {
         let mut host = EvaluationHost::new();
-        let built = SweepBuilder::new().workers(workers).loads(&loads).label("sb").load_sweep(
+        let result = SweepBuilder::new().workers(workers).loads(&loads).label("sb").load_sweep(
             &mut host,
             || ArraySpec::hdd_raid5(4).build(),
             &trace(60),
             mode,
         );
-        assert_eq!(built, legacy, "load_sweep diverged at {workers} workers");
-        assert_eq!(host.db.records(), legacy_host.db.records(), "db diverged at {workers} workers");
-    }
+        (result, host.db.records().to_vec())
+    };
+    let (serial, serial_db) = run(1);
+    let (parallel, parallel_db) = run(4);
+    assert_eq!(parallel, serial, "load_sweep diverged at 4 workers");
+    assert_eq!(parallel_db, serial_db, "db diverged at 4 workers");
 }
 
 #[test]
-fn builder_sweep_matches_legacy_shim_bit_for_bit() {
+fn builder_sweep_is_bit_identical_at_1_and_4_workers() {
     let cfg = SweepConfig {
         modes: vec![WorkloadMode::peak(4096, 0, 100), WorkloadMode::peak(16384, 100, 0)],
         loads: vec![30, 60],
     };
-    for workers in [1usize, 4] {
-        let mut legacy_host = EvaluationHost::new();
-        let legacy = run_sweep_with(
-            &mut legacy_host,
-            &SweepExecutor::new(workers),
-            || ArraySpec::hdd_raid5(4).build(),
-            |mode| trace(40 + u64::from(mode.request_bytes / 4096)),
-            &cfg,
-            |_, _| {},
-        );
+    let run = |workers: usize| {
         let mut host = EvaluationHost::new();
-        let built = SweepBuilder::new().workers(workers).sweep(
+        let result = SweepBuilder::new().workers(workers).sweep(
             &mut host,
             || ArraySpec::hdd_raid5(4).build(),
             |mode| trace(40 + u64::from(mode.request_bytes / 4096)),
             &cfg,
         );
-        assert_eq!(built, legacy, "sweep diverged at {workers} workers");
-        assert_eq!(host.db.records(), legacy_host.db.records(), "db diverged at {workers} workers");
-    }
+        (result, host.db.records().to_vec())
+    };
+    let (serial, serial_db) = run(1);
+    let (parallel, parallel_db) = run(4);
+    assert_eq!(parallel, serial, "sweep diverged at 4 workers");
+    assert_eq!(parallel_db, serial_db, "db diverged at 4 workers");
 }
 
 #[test]
-fn builder_trials_match_legacy_shim_bit_for_bit() {
+fn builder_trials_are_bit_identical_at_1_and_4_workers() {
     let mode = WorkloadMode::peak(8192, 50, 100);
-    for workers in [1usize, 4] {
-        let mut legacy_host = EvaluationHost::new();
-        let legacy = repeated_trials_with(
-            &mut legacy_host,
-            &SweepExecutor::new(workers),
-            || ArraySpec::hdd_raid5(4).build(),
-            |seed| trace(25 + seed),
-            mode,
-            4,
-            "trial",
-        );
+    let run = |workers: usize| {
         let mut host = EvaluationHost::new();
-        let built = SweepBuilder::new().workers(workers).label("trial").trials(
+        let result = SweepBuilder::new().workers(workers).label("trial").trials(
             &mut host,
             || ArraySpec::hdd_raid5(4).build(),
             |seed| trace(25 + seed),
             mode,
             4,
         );
-        assert_eq!(format!("{built:?}"), format!("{legacy:?}"), "trials at {workers} workers");
-        assert_eq!(host.db.records(), legacy_host.db.records(), "db diverged at {workers} workers");
-    }
+        (format!("{result:?}"), host.db.records().to_vec())
+    };
+    let (serial, serial_db) = run(1);
+    let (parallel, parallel_db) = run(4);
+    assert_eq!(parallel, serial, "trials diverged at 4 workers");
+    assert_eq!(parallel_db, serial_db, "db diverged at 4 workers");
 }
 
 #[test]
-fn builder_jobs_match_legacy_shim_bit_for_bit() {
+fn builder_jobs_are_bit_identical_at_1_and_4_workers() {
     let jobs = || -> Vec<EvaluationJob> {
         (0..5)
             .map(|i| {
@@ -116,14 +90,15 @@ fn builder_jobs_match_legacy_shim_bit_for_bit() {
             })
             .collect()
     };
-    for workers in [1usize, 4] {
-        let mut legacy_host = EvaluationHost::new();
-        let legacy = run_parallel_with(&mut legacy_host, &SweepExecutor::new(workers), jobs());
+    let run = |workers: usize| {
         let mut host = EvaluationHost::new();
-        let built = SweepBuilder::new().workers(workers).jobs(&mut host, jobs());
-        assert_eq!(built, legacy, "record ids diverged at {workers} workers");
-        assert_eq!(host.db.records(), legacy_host.db.records(), "db diverged at {workers} workers");
-    }
+        let ids = SweepBuilder::new().workers(workers).jobs(&mut host, jobs());
+        (ids, host.db.records().to_vec())
+    };
+    let (serial, serial_db) = run(1);
+    let (parallel, parallel_db) = run(4);
+    assert_eq!(parallel, serial, "record ids diverged at 4 workers");
+    assert_eq!(parallel_db, serial_db, "db diverged at 4 workers");
 }
 
 #[test]
