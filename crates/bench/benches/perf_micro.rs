@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the framework's hot paths: the proportional
 //! filter, trace (de)serialisation, RAID-5 planning, the DES engine (request
 //! store and elevator dispatch), the closed-loop generator, the end-to-end
-//! load sweep (serial vs pooled), blkparse ingest (serial vs chunked
-//! parallel), and replay planning (materializing pipeline vs zero-copy plan).
+//! load sweep (serial vs pooled), a multi-mode scenario's pool efficiency,
+//! blkparse ingest (serial vs chunked parallel), and replay planning
+//! (materializing pipeline vs zero-copy plan).
 //!
 //! Each benchmark prints its mean time per iteration; the DES-engine ones
 //! also emit a machine-readable `RESULT` line (events/sec, sweep seconds) so
@@ -13,7 +14,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 use tracer_bench::{banner, json_result};
-use tracer_core::{EvaluationHost, SweepBuilder, SweepExecutor};
+use tracer_core::{run_scenario, EvaluationHost, ScenarioSpec, SweepBuilder, SweepExecutor};
 use tracer_replay::{
     replay, replay_prepared, AddressPolicy, LoadControl, ProportionalFilter, ReplayConfig,
 };
@@ -275,6 +276,75 @@ fn bench_load_sweep() {
     );
 }
 
+/// Pool efficiency of a 12-mode peak scenario (Fig. 10/11-shaped, two cells
+/// per mode) through `run_scenario`: serial versus a two-worker pool (one
+/// worker on a one-core host). `pool_efficiency = t1 / (tN × N)` is 1.0 when
+/// the pool keeps every worker busy; per-mode trace synthesis that leaves a
+/// worker idle pulls it down. It also falls when another tenant holds a
+/// core, so each round times a fixed spin kernel the same way
+/// (`hw_efficiency`), and the gated `relative_efficiency` is the median over
+/// rounds of the two ratios' quotient: what the pool achieved out of what
+/// the cores gave at that moment.
+fn bench_scenario_grid() {
+    let text = "[scenario]\nname = \"perf-grid\"\n[array]\ndevice = \"seagate-7200\"\n\
+                layout = \"raid5\"\ndisks = 6\n[workload]\nkind = \"peak\"\n\
+                rs = [512, 4096, 65536]\nrn = [0, 100]\nrd = [0, 100]\nseconds = 2\n\
+                [sweep]\nloads = [50]\n";
+    let mut spec = ScenarioSpec::parse(text).expect("valid scenario");
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(2);
+    let mut scenario = |w: usize| {
+        spec.workers = w;
+        let t0 = Instant::now();
+        black_box(run_scenario(&spec).expect("scenario runs"));
+        t0.elapsed().as_secs_f64()
+    };
+    let kernel = |w: usize| {
+        let t0 = Instant::now();
+        SweepExecutor::new(w).run_indexed(
+            4 * workers,
+            |_| {
+                let mut x = 0x9E37_79B9_7F4A_7C15u64;
+                for _ in 0..5_000_000 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x = black_box(x ^ (x << 17));
+                }
+                x
+            },
+            |_| {},
+        );
+        t0.elapsed().as_secs_f64()
+    };
+    // The per-round quotients scatter with scheduling luck; 16 rounds keep
+    // the median's spread well inside the gate.
+    let rounds = samples_from_env().max(16);
+    let n = workers as f64;
+    let (mut pool, mut hw, mut relative) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let p = scenario(1) / (scenario(workers) * n);
+        let h = kernel(1) / (kernel(workers) * n);
+        pool.push(p);
+        hw.push(h);
+        relative.push(p / h);
+    }
+    let median = |xs: &mut Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    json_result(
+        "perf_scenario_grid",
+        &serde_json::json!({
+            "rounds": rounds,
+            "modes": 12,
+            "cells": 24,
+            "workers": workers,
+            "pool_efficiency": median(&mut pool),
+            "hw_efficiency": median(&mut hw),
+            "relative_efficiency": median(&mut relative),
+        }),
+    );
+}
+
 /// Instrumentation overhead gate: the same request-store drain and a small
 /// load sweep, timed with `tracer-obs` off and on, interleaved min-of-N so
 /// scheduler noise hits both sides equally. The RESULT line carries the
@@ -521,6 +591,7 @@ fn main() {
     bench_elevator_dispatch();
     bench_generator();
     bench_load_sweep();
+    bench_scenario_grid();
     bench_obs_overhead();
     bench_trace_ingest();
     bench_replay_plan();

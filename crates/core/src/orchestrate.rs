@@ -1,3 +1,4 @@
+#![doc = "tracer-invariant: deterministic"]
 //! Experiment orchestration: load sweeps and accuracy tables.
 //!
 //! The paper's evaluation replays every trace "ten times with load proportions
@@ -15,12 +16,17 @@
 //! [`SweepBuilder`] is the single entry point for every sweep shape: it
 //! composes loads × modes × trials × workers × progress × observability sink
 //! behind one builder.
+//!
+//! The merge order is the determinism contract, so this module takes no
+//! wall-clock, hash-order or environment input.
 
 use crate::distributed::EvaluationJob;
 use crate::executor::SweepExecutor;
 use crate::host::{EvaluationHost, MeasuredTest};
 use crate::metrics::AccuracyRow;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use tracer_sim::ArraySim;
 use tracer_trace::{sweep, BunchSource, TraceHandle, WorkloadMode};
 
@@ -44,7 +50,7 @@ impl LoadSweepResult {
 }
 
 /// The swept levels: `loads` plus the 100 % baseline, ascending, deduplicated.
-fn resolve_levels(loads: &[u32]) -> Vec<u32> {
+pub(crate) fn resolve_levels(loads: &[u32]) -> Vec<u32> {
     let mut levels: Vec<u32> = loads.to_vec();
     if !levels.contains(&100) {
         levels.push(100);
@@ -76,49 +82,6 @@ fn merge_mode(
         .map(|&(pct, iops, mbps)| AccuracyRow::new(pct, iops, mbps, full_iops, full_mbps))
         .collect();
     LoadSweepResult { loads: levels, record_ids, rows }
-}
-
-/// The load-sweep implementation shared by [`SweepBuilder::load_sweep`] and
-/// the serial path of [`SweepBuilder::sweep`].
-#[allow(clippy::too_many_arguments)]
-fn load_sweep_impl<F, S>(
-    host: &mut EvaluationHost,
-    exec: &SweepExecutor,
-    build_array: F,
-    trace: &S,
-    mode: WorkloadMode,
-    loads: &[u32],
-    label: &str,
-    progress: &mut dyn FnMut(usize, usize),
-) -> LoadSweepResult
-where
-    F: Fn() -> ArraySim + Sync,
-    S: BunchSource + Sync + ?Sized,
-{
-    let levels = resolve_levels(loads);
-    let total = levels.len();
-    let cycle = host.meter_cycle_ms;
-    let mut done = 0usize;
-    let cells = exec.run_indexed(
-        levels.len(),
-        |i| {
-            let pct = levels[i];
-            let mut sim = build_array();
-            EvaluationHost::measure_test(
-                cycle,
-                &mut sim,
-                trace,
-                mode.at_load(pct),
-                100,
-                &format!("{label}-load{pct}"),
-            )
-        },
-        |_| {
-            done += 1;
-            progress(done, total);
-        },
-    );
-    merge_mode(host, levels, cells)
 }
 
 /// Replay `trace` on fresh arrays at each load level and build the accuracy
@@ -242,17 +205,21 @@ impl<'a> SweepBuilder<'a> {
         self
     }
 
-    /// Record-label prefix for [`SweepBuilder::load_sweep`] and
-    /// [`SweepBuilder::trials`] (default `"sweep"`).
+    /// Record-label prefix (default `"sweep"`). Records are labelled
+    /// `{label}-load{pct}` by [`SweepBuilder::load_sweep`],
+    /// `{label}-rs{rs}-rn{rn}-rd{rd}-load{pct}` by [`SweepBuilder::sweep`]
+    /// and `{label}-trial{n}` by [`SweepBuilder::trials`].
     pub fn label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
         self
     }
 
     /// Progress callback, fired on the caller's thread as `(done, total)` —
-    /// per mode for [`SweepBuilder::sweep`], per cell for
+    /// per mode for [`SweepBuilder::sweep`] (when the mode's last cell
+    /// finishes; trace resolution tasks never fire it), per cell for
     /// [`SweepBuilder::load_sweep`] and [`SweepBuilder::trials`], per job for
-    /// [`SweepBuilder::jobs`].
+    /// [`SweepBuilder::jobs`]. Under parallelism modes complete out of
+    /// order, but `done` always climbs by one.
     pub fn on_progress(mut self, progress: impl FnMut(usize, usize) + 'a) -> Self {
         self.progress = Some(Box::new(progress));
         self
@@ -316,24 +283,43 @@ impl<'a> SweepBuilder<'a> {
         F: Fn() -> ArraySim + Sync,
         S: BunchSource + Sync + ?Sized,
     {
-        let cells = resolve_levels(&self.loads).len();
-        let was = self.obs_begin("load_sweep", cells);
+        let levels = resolve_levels(&self.loads);
+        let total = levels.len();
+        let was = self.obs_begin("load_sweep", total);
         let mut progress = self.take_progress();
-        let result = load_sweep_impl(
-            host,
-            &self.exec,
-            build_array,
-            trace,
-            mode,
-            &self.loads,
-            &self.label,
-            &mut progress,
+        let cycle = host.meter_cycle_ms;
+        let label = &self.label;
+        let mut done = 0usize;
+        let cells = self.exec.run_indexed(
+            total,
+            |i| {
+                let pct = levels[i];
+                let mut sim = build_array();
+                EvaluationHost::measure_test(
+                    cycle,
+                    &mut sim,
+                    trace,
+                    mode.at_load(pct),
+                    100,
+                    &format!("{label}-load{pct}"),
+                )
+            },
+            |_| {
+                done += 1;
+                progress(done, total);
+            },
         );
-        self.obs_end(was, "load_sweep", cells);
+        let result = merge_mode(host, levels, cells);
+        self.obs_end(was, "load_sweep", total);
         result
     }
 
     /// Terminal: run the full mode × load grid of `cfg` (see [`run_sweep`]).
+    ///
+    /// Each mode's trace is resolved by a task on the same worker pool that
+    /// runs the cells, up to one mode per worker ahead of the cells that
+    /// need it, and dropped after the mode's last cell; `trace_for_mode` is
+    /// called exactly once per mode, possibly from a worker thread.
     pub fn sweep<F, T, A>(
         mut self,
         host: &mut EvaluationHost,
@@ -343,19 +329,28 @@ impl<'a> SweepBuilder<'a> {
     ) -> Vec<LoadSweepResult>
     where
         F: Fn() -> ArraySim + Sync,
-        T: FnMut(&WorkloadMode) -> A,
+        T: Fn(&WorkloadMode) -> A + Sync,
         A: Into<TraceHandle>,
     {
         let cells = cfg.modes.len() * resolve_levels(&cfg.loads).len();
         let was = self.obs_begin("sweep", cells);
         let mut progress = self.take_progress();
-        let result = sweep_impl(host, &self.exec, build_array, trace_for_mode, cfg, &mut progress);
+        let result = sweep_impl(
+            host,
+            &self.exec,
+            build_array,
+            trace_for_mode,
+            cfg,
+            &self.label,
+            &mut progress,
+        );
         self.obs_end(was, "sweep", cells);
         result
     }
 
     /// Terminal: repeat one mode over freshly seeded traces
-    /// (see [`repeated_trials`]).
+    /// (see [`repeated_trials`]). Each trial resolves its own trace inside
+    /// its task, so at most one trace per worker is alive.
     pub fn trials<F, T, A>(
         mut self,
         host: &mut EvaluationHost,
@@ -366,7 +361,7 @@ impl<'a> SweepBuilder<'a> {
     ) -> TrialSummary
     where
         F: Fn() -> ArraySim + Sync,
-        T: FnMut(u64) -> A,
+        T: Fn(u64) -> A + Sync,
         A: Into<TraceHandle>,
     {
         let was = self.obs_begin("trials", trials);
@@ -399,93 +394,145 @@ impl<'a> SweepBuilder<'a> {
     }
 }
 
+/// One entry of the mode × load grid's task list.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    /// Resolve mode `m`'s trace ahead of its cells (a no-op if a cell got
+    /// there first or the mode already finished).
+    Resolve(usize),
+    /// Measure mode `m` at level index `l`.
+    Cell(usize, usize),
+}
+
+/// The sweep's task list: `Resolve(0..ahead)`, then per mode its cells
+/// followed by the resolve of the mode `ahead` places further on. Workers
+/// claim tasks in list order, so traces are resolved `ahead` modes before
+/// their cells come up, on the same pool that runs the cells.
+fn task_list(modes: usize, per_mode: usize, ahead: usize) -> Vec<Task> {
+    let mut tasks = Vec::with_capacity(modes * (per_mode + 1));
+    tasks.extend((0..ahead).map(Task::Resolve));
+    for m in 0..modes {
+        tasks.extend((0..per_mode).map(|l| Task::Cell(m, l)));
+        if m + ahead < modes {
+            tasks.push(Task::Resolve(m + ahead));
+        }
+    }
+    tasks
+}
+
+/// A mode's trace as the sweep sees it.
+enum Slot {
+    /// Not resolved yet.
+    Pending,
+    /// Resolved; cells clone the handle.
+    Ready(TraceHandle),
+    /// Every cell finished and the trace was dropped.
+    Released,
+}
+
+/// Lock a slot, recovering from poisoning: a panicking `trace_for_mode`
+/// must surface its own payload, not a `PoisonError` from a sibling cell.
+fn lock(slot: &Mutex<Slot>) -> MutexGuard<'_, Slot> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The mode × load grid implementation behind [`SweepBuilder::sweep`].
+///
+/// Trace resolution runs as tasks on the executor, pipelined with the
+/// cells; see [`task_list`]. A thread only ever waits on its own mode's
+/// slot lock, which is held only while `trace_for_mode` runs, so the
+/// schedule cannot deadlock. With one worker the same list runs in order:
+/// resolve a mode, run its cells, release it, so one trace is live at a
+/// time. The merge is mode-major and level-ascending on the caller's
+/// thread, so the output is identical at any worker count.
 fn sweep_impl<F, T, A>(
     host: &mut EvaluationHost,
     exec: &SweepExecutor,
     build_array: F,
-    mut trace_for_mode: T,
+    trace_for_mode: T,
     cfg: &SweepConfig,
+    label: &str,
     progress: &mut dyn FnMut(usize, usize),
 ) -> Vec<LoadSweepResult>
 where
     F: Fn() -> ArraySim + Sync,
-    T: FnMut(&WorkloadMode) -> A,
+    T: Fn(&WorkloadMode) -> A + Sync,
     A: Into<TraceHandle>,
 {
     let total = cfg.modes.len();
     let levels = resolve_levels(&cfg.loads);
     let per_mode = levels.len();
-    let label_for = |mode: &WorkloadMode| {
-        format!("sweep-rs{}-rn{}-rd{}", mode.request_bytes, mode.random_pct, mode.read_pct)
+    let tasks = task_list(total, per_mode, exec.workers().min(total));
+    let labels: Vec<String> = cfg
+        .modes
+        .iter()
+        .map(|m| format!("{label}-rs{}-rn{}-rd{}", m.request_bytes, m.random_pct, m.read_pct))
+        .collect();
+    let slots: Vec<Mutex<Slot>> = (0..total).map(|_| Mutex::new(Slot::Pending)).collect();
+    let cells_left: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(per_mode)).collect();
+    let resolve = |m: usize| -> TraceHandle {
+        let _span = tracer_obs::span("sweep.resolve_ns");
+        trace_for_mode(&cfg.modes[m]).into()
     };
-
-    if exec.is_serial() {
-        // Serial path: resolve each trace just before its mode runs, so at
-        // most one trace is held in memory at a time.
-        let mut results = Vec::with_capacity(total);
-        for (i, &mode) in cfg.modes.iter().enumerate() {
-            let trace: TraceHandle = trace_for_mode(&mode).into();
-            let label = label_for(&mode);
-            results.push(load_sweep_impl(
-                host,
-                exec,
-                &build_array,
-                &trace,
-                mode,
-                &cfg.loads,
-                &label,
-                &mut |_, _| {},
-            ));
-            progress(i + 1, total);
-        }
-        return results;
-    }
-
-    // Parallel path: resolve every trace up front (serially, in mode order),
-    // then fan the whole mode × load grid out so the worker pool stays
-    // saturated even when a mode has fewer levels than there are workers.
-    // Traces are held as shared handles (decoded `Arc<Trace>`s or mmap
-    // views), so a loader that hands out repository-cached traces keeps a
-    // single copy in memory for the whole grid instead of one clone per mode.
-    let traces: Vec<TraceHandle> = cfg.modes.iter().map(|m| trace_for_mode(m).into()).collect();
-    let labels: Vec<String> = cfg.modes.iter().map(label_for).collect();
     let cycle = host.meter_cycle_ms;
     let mut remaining: Vec<usize> = vec![per_mode; total];
     let mut modes_done = 0usize;
-    let cells = exec.run_indexed(
-        total * per_mode,
-        |i| {
-            let (m, l) = (i / per_mode, i % per_mode);
-            let (mode, pct) = (cfg.modes[m], levels[l]);
-            let mut sim = build_array();
-            EvaluationHost::measure_test(
-                cycle,
-                &mut sim,
-                &traces[m],
-                mode.at_load(pct),
-                100,
-                &format!("{}-load{pct}", labels[m]),
-            )
+    let outputs = exec.run_indexed(
+        tasks.len(),
+        |i| match tasks[i] {
+            Task::Resolve(m) => {
+                let mut slot = lock(&slots[m]);
+                if matches!(*slot, Slot::Pending) {
+                    *slot = Slot::Ready(resolve(m));
+                }
+                None
+            }
+            Task::Cell(m, l) => {
+                let trace = {
+                    let mut slot = lock(&slots[m]);
+                    match &*slot {
+                        Slot::Ready(trace) => trace.clone(),
+                        Slot::Pending => {
+                            let trace = resolve(m);
+                            *slot = Slot::Ready(trace.clone());
+                            trace
+                        }
+                        Slot::Released => unreachable!("mode {m} released before its last cell"),
+                    }
+                };
+                let (mode, pct) = (cfg.modes[m], levels[l]);
+                let mut sim = build_array();
+                let cell = EvaluationHost::measure_test(
+                    cycle,
+                    &mut sim,
+                    &trace,
+                    mode.at_load(pct),
+                    100,
+                    &format!("{}-load{pct}", labels[m]),
+                );
+                if cells_left[m].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    *lock(&slots[m]) = Slot::Released;
+                }
+                Some(cell)
+            }
         },
         |i| {
-            let m = i / per_mode;
-            remaining[m] -= 1;
-            if remaining[m] == 0 {
-                modes_done += 1;
-                progress(modes_done, total);
+            if let Task::Cell(m, _) = tasks[i] {
+                remaining[m] -= 1;
+                if remaining[m] == 0 {
+                    modes_done += 1;
+                    progress(modes_done, total);
+                }
             }
         },
     );
 
-    // Deterministic merge: mode-major, level-ascending — the serial order.
-    let mut results = Vec::with_capacity(total);
-    let mut cells = cells.into_iter();
-    for _ in 0..total {
-        let chunk: Vec<_> = cells.by_ref().take(per_mode).collect();
-        results.push(merge_mode(host, levels.clone(), chunk));
-    }
-    results
+    // Deterministic merge: the task list holds the cells mode-major,
+    // level-ascending — the serial order.
+    let mut cells = outputs.into_iter().flatten();
+    (0..total)
+        .map(|_| merge_mode(host, levels.clone(), cells.by_ref().take(per_mode).collect()))
+        .collect()
 }
 
 /// Run a full synthetic sweep: for each mode, resolve its trace, then run
@@ -502,7 +549,7 @@ pub fn run_sweep<F, T, A>(
 ) -> Vec<LoadSweepResult>
 where
     F: Fn() -> ArraySim + Sync,
-    T: FnMut(&WorkloadMode) -> A,
+    T: Fn(&WorkloadMode) -> A + Sync,
     A: Into<TraceHandle>,
 {
     SweepBuilder::new().on_progress(progress).sweep(host, build_array, trace_for_mode, cfg)
@@ -560,7 +607,7 @@ fn trials_impl<F, T, A>(
     host: &mut EvaluationHost,
     exec: &SweepExecutor,
     build_array: F,
-    mut trace_for_seed: T,
+    trace_for_seed: T,
     mode: WorkloadMode,
     trials: usize,
     label: &str,
@@ -568,21 +615,24 @@ fn trials_impl<F, T, A>(
 ) -> TrialSummary
 where
     F: Fn() -> ArraySim + Sync,
-    T: FnMut(u64) -> A,
+    T: Fn(u64) -> A + Sync,
     A: Into<TraceHandle>,
 {
     assert!(trials >= 1, "at least one trial required");
-    let traces: Vec<TraceHandle> = (0..trials).map(|t| trace_for_seed(t as u64).into()).collect();
     let cycle = host.meter_cycle_ms;
     let mut done = 0usize;
     let cells = exec.run_indexed(
         trials,
         |trial| {
+            let trace: TraceHandle = {
+                let _span = tracer_obs::span("sweep.resolve_ns");
+                trace_for_seed(trial as u64).into()
+            };
             let mut sim = build_array();
             EvaluationHost::measure_test(
                 cycle,
                 &mut sim,
-                &traces[trial],
+                &trace,
                 mode,
                 100,
                 &format!("{label}-trial{trial}"),
@@ -630,7 +680,7 @@ pub fn repeated_trials<F, T, A>(
 ) -> TrialSummary
 where
     F: Fn() -> ArraySim + Sync,
-    T: FnMut(u64) -> A,
+    T: Fn(u64) -> A + Sync,
     A: Into<TraceHandle>,
 {
     SweepBuilder::new().label(label).trials(host, build_array, trace_for_seed, mode, trials)
@@ -759,6 +809,99 @@ mod tests {
         // done-count climbs 1..=3.
         assert_eq!(calls, vec![(1, 3), (2, 3), (3, 3)]);
         assert_eq!(host.db.len(), 6);
+    }
+
+    /// A 12-mode grid at loads `[50]` (two levels per mode).
+    fn twelve_mode_grid() -> SweepConfig {
+        let mut modes = Vec::new();
+        for rs in [512, 4096, 65536] {
+            for rn in [0, 100] {
+                for rd in [0, 100] {
+                    modes.push(WorkloadMode::peak(rs, rn, rd));
+                }
+            }
+        }
+        SweepConfig { modes, loads: vec![50] }
+    }
+
+    #[test]
+    fn sweep_resolves_each_trace_exactly_once_per_mode() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cfg = twelve_mode_grid();
+        assert_eq!(cfg.modes.len(), 12);
+        for workers in [1, 2, 4] {
+            let calls: Vec<AtomicUsize> = cfg.modes.iter().map(|_| AtomicUsize::new(0)).collect();
+            let mut host = EvaluationHost::new();
+            let results = SweepBuilder::new().workers(workers).sweep(
+                &mut host,
+                || ArraySpec::hdd_raid5(3).build(),
+                |mode| {
+                    let m = cfg.modes.iter().position(|x| x == mode).unwrap();
+                    calls[m].fetch_add(1, Ordering::Relaxed);
+                    fixed_trace(20 + m, 4096)
+                },
+                &cfg,
+            );
+            assert_eq!(results.len(), 12);
+            assert_eq!(host.db.len(), 24);
+            let counts: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            assert_eq!(counts, vec![1; 12], "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn sweep_keeps_live_traces_bounded_by_the_worker_count() {
+        use std::sync::{Arc, Mutex, Weak};
+        let cfg = twelve_mode_grid();
+        for workers in [1, 2, 4] {
+            let live: Mutex<(Vec<Weak<Trace>>, usize)> = Mutex::new((Vec::new(), 0));
+            let mut host = EvaluationHost::new();
+            SweepBuilder::new().workers(workers).sweep(
+                &mut host,
+                || ArraySpec::hdd_raid5(3).build(),
+                |_| {
+                    // Traces only appear here, so the high-water mark of
+                    // live traces is reached at some resolve.
+                    let trace = Arc::new(fixed_trace(20, 4096));
+                    let mut live = live.lock().unwrap();
+                    live.0.retain(|w| w.strong_count() > 0);
+                    live.0.push(Arc::downgrade(&trace));
+                    live.1 = live.1.max(live.0.len());
+                    trace
+                },
+                &cfg,
+            );
+            let (traces, high_water) = &*live.lock().unwrap();
+            assert!(traces.iter().all(|w| w.strong_count() == 0), "every trace is released");
+            if workers == 1 {
+                assert_eq!(*high_water, 1, "serial sweeps hold one trace at a time");
+            } else {
+                assert!(*high_water <= 2 * workers + 1, "workers={workers}: {high_water} live");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_propagates_a_trace_panic_without_hanging() {
+        let cfg = twelve_mode_grid();
+        let poison = cfg.modes[5];
+        let result = std::panic::catch_unwind(|| {
+            let mut host = EvaluationHost::new();
+            SweepBuilder::new().workers(4).sweep(
+                &mut host,
+                || ArraySpec::hdd_raid5(3).build(),
+                |mode| {
+                    if *mode == poison {
+                        panic!("trace synthesis exploded");
+                    }
+                    fixed_trace(20, 4096)
+                },
+                &cfg,
+            )
+        });
+        let err = result.expect_err("panic must propagate");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "trace synthesis exploded");
     }
 
     #[test]

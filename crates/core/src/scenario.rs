@@ -47,7 +47,9 @@ use crate::db::Database;
 use crate::error::TracerError;
 use crate::host::EvaluationHost;
 use crate::metrics::{AccuracyRow, EfficiencyMetrics};
-use crate::orchestrate::{LoadSweepResult, SweepBuilder, TrialSummary};
+use crate::orchestrate::{
+    resolve_levels, LoadSweepResult, SweepBuilder, SweepConfig, TrialSummary,
+};
 use std::path::Path;
 use tracer_sim::{ArraySpec, DeviceSpec, Layout, PowerPolicy, QueueDiscipline, SimDuration};
 use tracer_trace::{sweep, Trace, WorkloadMode};
@@ -207,13 +209,7 @@ impl ScenarioSpec {
 
     /// Total sweep cells: modes × load levels (baseline included).
     pub fn cells(&self) -> usize {
-        let mut levels = self.loads.clone();
-        if !levels.contains(&100) {
-            levels.push(100);
-        }
-        levels.sort_unstable();
-        levels.dedup();
-        self.workload.modes().len() * levels.len()
+        self.workload.modes().len() * resolve_levels(&self.loads).len()
     }
 }
 
@@ -749,8 +745,9 @@ fn power_keyword(policy: PowerPolicy) -> String {
     }
 }
 
-/// Execute a scenario: synthesize each mode's trace, sweep the load grid,
-/// and render the deterministic report.
+/// Execute a scenario: sweep the mode × load grid, synthesizing each mode's
+/// trace on the sweep's worker pool ahead of its cells, and render the
+/// deterministic report.
 ///
 /// The sweep inherits the builder's guarantee that parallel execution is
 /// bit-identical to serial, and the report excludes the worker count, so the
@@ -763,19 +760,20 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, TracerError>
         return Err(fail("workload grid is empty".to_string()));
     }
     let mut host = EvaluationHost::new();
-    let mut results = Vec::with_capacity(modes.len());
-    for mode in &modes {
-        let trace = spec.workload.trace(&spec.array, *mode, 0);
-        let result = SweepBuilder::new()
-            .workers(spec.workers)
-            .loads(&spec.loads)
-            .label(format!(
-                "{}-rs{}-rn{}-rd{}",
-                spec.name, mode.request_bytes, mode.random_pct, mode.read_pct
-            ))
-            .load_sweep(&mut host, || spec.array.build(), &trace, *mode);
-        results.push((*mode, result));
-    }
+    let cfg = SweepConfig { modes: modes.clone(), loads: spec.loads.clone() };
+    let results: Vec<(WorkloadMode, LoadSweepResult)> = SweepBuilder::new()
+        .workers(spec.workers)
+        .label(spec.name.as_str())
+        .sweep(
+            &mut host,
+            || spec.array.build(),
+            |mode| spec.workload.trace(&spec.array, *mode, 0),
+            &cfg,
+        )
+        .into_iter()
+        .zip(&modes)
+        .map(|(result, &mode)| (mode, result))
+        .collect();
     let trials = if spec.trials > 1 {
         let mode = modes[0];
         Some(
@@ -1140,22 +1138,32 @@ workers = 1
     #[test]
     fn runs_a_small_scenario_with_identical_reports_at_1_and_4_workers() {
         let text = "[scenario]\nname = \"smoke\"\n[array]\ndevice = \"seagate-7200\"\n\
-                    layout = \"raid5\"\ndisks = 3\n[workload]\nrs = 8192\nrn = 50\nrd = 100\n\
-                    seconds = 1\n[sweep]\nloads = [50]\nworkers = 1\n";
+                    layout = \"raid5\"\ndisks = 3\n[workload]\nrs = [8192, 65536]\n\
+                    rn = [0, 50]\nrd = 100\nseconds = 1\n[sweep]\nloads = [30, 60]\nworkers = 1\n";
         let mut spec = ScenarioSpec::parse(text).unwrap();
         let serial = run_scenario(&spec).unwrap();
-        // 50 % plus the implied 100 % baseline.
-        assert_eq!(serial.cells.len(), 2);
-        assert_eq!(serial.results.len(), 1);
+        // Four modes, each at 30 % and 60 % plus the implied 100 % baseline.
+        assert_eq!(serial.cells.len(), 12);
+        assert_eq!(serial.results.len(), 4);
         assert!(serial.trials.is_none());
-        assert_eq!(serial.db.len(), 2);
+        assert_eq!(serial.db.len(), 12);
         assert!(serial.report.starts_with("scenario name=smoke array=smoke "), "{}", serial.report);
         assert!(serial.report.contains("\nmode rs=8192 rn=50 rd=100\n"), "{}", serial.report);
-        assert!(serial.report.contains("\ncell load=50 iops="), "{}", serial.report);
+        assert!(serial.report.contains("\ncell load=30 iops="), "{}", serial.report);
         assert!(serial.cells.iter().all(|c| c.metrics.iops > 0.0));
-        spec.workers = 4;
-        let parallel = run_scenario(&spec).unwrap();
-        assert_eq!(serial.report, parallel.report, "worker count must not leak into the report");
+        let labels: Vec<&str> = serial.db.records().iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels[0], "smoke-rs8192-rn0-rd100-load30");
+        assert_eq!(labels[11], "smoke-rs65536-rn50-rd100-load100");
+        for workers in [2, 4] {
+            spec.workers = workers;
+            let parallel = run_scenario(&spec).unwrap();
+            assert_eq!(
+                serial.report, parallel.report,
+                "worker count must not leak into the report"
+            );
+            assert_eq!(serial.results, parallel.results, "workers={workers}");
+            assert_eq!(serial.db.records(), parallel.db.records(), "workers={workers}");
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub const REQUIRED_TAGS: &[(&str, &[&str])] = &[
     ("crates/sim/src/power.rs", &["deterministic"]),
     ("crates/sim/src/spec.rs", &["deterministic"]),
     ("crates/core/src/scenario.rs", &["deterministic"]),
+    ("crates/core/src/orchestrate.rs", &["deterministic"]),
     ("crates/replay/src/plan.rs", &["deterministic", "zero-copy"]),
     ("crates/trace/src/v3.rs", &["deterministic"]),
     ("crates/trace/src/mmap.rs", &["deterministic"]),
